@@ -115,6 +115,16 @@ bool NodeSet::subset_of(const NodeSet& other) const {
   return true;
 }
 
+bool NodeSet::subset_of(const NodeSet& other, ProcessId except) const {
+  check_same_universe(other);
+  for (std::size_t i = 0; i < words_.size(); ++i) {
+    std::uint64_t extra = words_[i] & ~other.words_[i];
+    if (i == except / kBits) extra &= ~(1ULL << (except % kBits));
+    if (extra != 0) return false;
+  }
+  return true;
+}
+
 bool NodeSet::intersects(const NodeSet& other) const {
   check_same_universe(other);
   for (std::size_t i = 0; i < words_.size(); ++i) {

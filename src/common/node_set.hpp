@@ -54,6 +54,8 @@ class NodeSet {
   NodeSet complement() const;
 
   bool subset_of(const NodeSet& other) const;
+  /// this \ {except} ⊆ other, without materializing the difference.
+  bool subset_of(const NodeSet& other, ProcessId except) const;
   bool superset_of(const NodeSet& other) const { return other.subset_of(*this); }
   bool intersects(const NodeSet& other) const;
   std::size_t intersection_count(const NodeSet& other) const;

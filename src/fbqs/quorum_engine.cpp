@@ -160,29 +160,32 @@ void insert_monotone(std::vector<NodeSet>& pool, std::size_t& rr,
 }
 }  // namespace
 
-bool QuorumEngine::blocked_for(QSetId id, const NodeSet& nodes) {
+bool QuorumEngine::blocked_for(QSetId id, const NodeSet& nodes,
+                              ProcessId excluded) {
   // The rescan baseline evaluates once per check regardless.
   ++stats_.qset_evals_baseline;
   BlockTiers& tiers = block_tiers_[id];
   for (const NodeSet& blocking : tiers.blocking_) {
     if (blocking.universe_size() == nodes.universe_size() &&
-        blocking.subset_of(nodes)) {
+        !blocking.contains(excluded) && blocking.subset_of(nodes)) {
       return true;
     }
   }
   for (const NodeSet& nonblocking : tiers.nonblocking_) {
     if (nonblocking.universe_size() == nodes.universe_size() &&
-        nodes.subset_of(nonblocking)) {
+        nodes.subset_of(nonblocking, excluded)) {
       return false;
     }
   }
-  const bool blocked = eval_blocked(id, nodes);
+  NodeSet blockers = nodes;
+  blockers.remove(excluded);
+  const bool blocked = eval_blocked(id, blockers);
   if (blocked) {
-    insert_monotone<kMaxMonotone>(tiers.blocking_, tiers.blocking_rr_, nodes,
-                                  /*keep_smaller=*/true);
+    insert_monotone<kMaxMonotone>(tiers.blocking_, tiers.blocking_rr_,
+                                  blockers, /*keep_smaller=*/true);
   } else {
     insert_monotone<kMaxMonotone>(tiers.nonblocking_, tiers.nonblocking_rr_,
-                                  nodes, /*keep_smaller=*/false);
+                                  blockers, /*keep_smaller=*/false);
   }
   return blocked;
 }

@@ -87,7 +87,11 @@ class QuorumEngine {
   /// every slot evaluating against the same interned qset and never needs
   /// invalidation. A hit costs zero evaluations while the rescan baseline
   /// still pays its one evaluation per check.
-  bool blocked_for(QSetId id, const NodeSet& nodes);
+  ///
+  /// Asks about `nodes` \ {excluded} (a caller's own id never counts
+  /// toward blocking it); the difference is only materialized on a miss,
+  /// so a memo hit copies nothing.
+  bool blocked_for(QSetId id, const NodeSet& nodes, ProcessId excluded);
 
   /// Algorithm-1 closure membership: starting from `support`, repeatedly
   /// removes members whose qset (qset_ids[member]; kNoQSetId members are

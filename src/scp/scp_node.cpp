@@ -12,6 +12,25 @@ namespace {
 /// dropped and rebuilt on demand (bounds memory against ballot churn; never
 /// hit in healthy runs).
 constexpr std::size_t kMaxTrackedPredicates = 4096;
+
+/// Calls f(v, -1) for each value only in `before` and f(v, +1) for each
+/// value only in `after`, in one merge walk of the two sorted sets.
+template <typename F>
+void for_each_change(const std::set<Value>& before,
+                     const std::set<Value>& after, F&& f) {
+  auto b = before.begin();
+  auto a = after.begin();
+  while (b != before.end() || a != after.end()) {
+    if (a == after.end() || (b != before.end() && *b < *a)) {
+      f(*b++, -1);
+    } else if (b == before.end() || *a < *b) {
+      f(*a++, +1);
+    } else {
+      ++a;
+      ++b;
+    }
+  }
+}
 }  // namespace
 
 void flush_quorum_counters(sim::ProtocolHost& host,
@@ -93,7 +112,7 @@ void ScpNode::start() {
     throw std::logic_error("ScpNode::start: quorum set not configured");
   }
   started_ = true;
-  nom_voted_.insert(own_value_);
+  vote_nominate(own_value_);
   emit_nomination();
   advance();
   flush_counters();
@@ -104,12 +123,15 @@ bool ScpNode::handle(ProcessId from, const sim::Message& msg) {
   if (env == nullptr) return false;
   if (env->sender != from) return true;  // forged sender field: drop
 
-  auto& stream = is_ballot_statement(env->statement) ? latest_ballot_
-                                                     : latest_nom_;
+  const bool ballot = is_ballot_statement(env->statement);
+  const auto& stream = ballot ? latest_ballot_ : latest_nom_;
   const auto it = stream.find(from);
   if (it != stream.end() && it->second.seq >= env->seq) return true;  // stale
-  stream.insert_or_assign(from, *env);
-  note_statement_update(from);
+  if (ballot) {
+    store_ballot(from, *env);
+  } else {
+    store_nomination(from, *env);
+  }
 
   if (!started_) return true;  // buffered; acted on at start
 
@@ -118,8 +140,8 @@ bool ScpNode::handle(ProcessId from, const sim::Message& msg) {
   if (const auto* nom = std::get_if<NominateStmt>(&env->statement)) {
     if (!decided_) {
       bool grew = false;
-      for (Value v : nom->voted) grew |= nom_voted_.insert(v).second;
-      for (Value v : nom->accepted) grew |= nom_voted_.insert(v).second;
+      for (Value v : nom->voted) grew |= vote_nominate(v);
+      for (Value v : nom->accepted) grew |= vote_nominate(v);
       if (grew) emit_nomination();
     }
   }
@@ -158,49 +180,109 @@ bool ScpNode::pred_holds(const PredKey& key, const Statement& s) {
 }
 
 const NodeSet& ScpNode::support_view(const PredKey& key) const {
-  const auto it = support_.find(key);
-  if (it != support_.end()) return it->second;
-  // First query of this predicate: one scan over both streams (a sender
-  // supports it if any of its current statements implies it), then the view
-  // stays fresh via note_statement_update().
+  const bool nomination =
+      key.cls == PredClass::kNomVote || key.cls == PredClass::kNomAccept;
+  auto& views = nomination ? nom_support_ : ballot_support_;
+  const auto it = views.find(key);
+  if (it != views.end()) return it->second;
+  // First query of this predicate: one scan over the stream whose
+  // statements can imply it (nomination predicates never hold on ballot
+  // statements and vice versa), then the view stays fresh via the store_*
+  // paths.
   NodeSet s(peers_.universe_size());
-  for (const auto& [id, env] : latest_nom_) {
-    if (pred_holds(key, env.statement)) s.add(id);
-  }
-  for (const auto& [id, env] : latest_ballot_) {
+  for (const auto& [id, env] : nomination ? latest_nom_ : latest_ballot_) {
     if (pred_holds(key, env.statement)) s.add(id);
   }
   engine_->count_support_rebuild();
-  return support_.emplace(key, std::move(s)).first->second;
+  return views.emplace(key, std::move(s)).first->second;
 }
 
-void ScpNode::note_statement_update(ProcessId id) {
-  const auto nom_it = latest_nom_.find(id);
-  const auto bal_it = latest_ballot_.find(id);
-  const Statement* nom =
-      nom_it == latest_nom_.end() ? nullptr : &nom_it->second.statement;
-  const Statement* bal =
-      bal_it == latest_ballot_.end() ? nullptr : &bal_it->second.statement;
-  if (support_.size() > kMaxTrackedPredicates) {
-    support_.clear();  // rebuilt lazily; counted per-view as rebuilds
+void ScpNode::add_mention(Value v, int delta) {
+  const auto it = std::lower_bound(
+      nom_mentions_.begin(), nom_mentions_.end(), v,
+      [](const auto& entry, Value x) { return entry.first < x; });
+  if (it == nom_mentions_.end() || it->first != v) {
+    nom_mentions_.emplace(it, v, 1);  // only positive deltas reach here
+  } else if ((it->second += delta) == 0) {
+    nom_mentions_.erase(it);
   }
-  // scup-lint: order-insensitive(each entry is updated independently from this sender's statements; no cross-entry reads or emissions)
-  for (auto& [key, view] : support_) {
-    const bool in = (nom != nullptr && pred_holds(key, *nom)) ||
-                    (bal != nullptr && pred_holds(key, *bal));
-    if (in) {
+}
+
+bool ScpNode::vote_nominate(Value v) {
+  if (!nom_voted_.insert(v).second) return false;
+  add_mention(v, +1);
+  return true;
+}
+
+void ScpNode::apply_nomination_delta(ProcessId id, const NominateStmt* before,
+                                     const std::set<Value>& voted,
+                                     const std::set<Value>& accepted) {
+  // Only a value whose voted or accepted membership changed can change its
+  // mention count or its two views.
+  const auto changed = [&](Value v, int delta) {
+    add_mention(v, delta);
+    const bool accepts = accepted.count(v) > 0;
+    const bool votes = accepts || voted.count(v) > 0;
+    for (const auto& [cls, in] : {std::pair{PredClass::kNomVote, votes},
+                                  std::pair{PredClass::kNomAccept, accepts}}) {
+      const auto it = nom_support_.find(PredKey{cls, 0, v});
+      if (it == nom_support_.end()) continue;
+      if (in) {
+        it->second.add(id);
+      } else {
+        it->second.remove(id);
+      }
+    }
+  };
+  static const std::set<Value> kNone;
+  for_each_change(before ? before->voted : kNone, voted, changed);
+  for_each_change(before ? before->accepted : kNone, accepted, changed);
+}
+
+void ScpNode::store_nomination(ProcessId id, const Envelope& env) {
+  const auto& now = std::get<NominateStmt>(env.statement);
+  const auto it = latest_nom_.find(id);
+  if (it == latest_nom_.end()) {
+    apply_nomination_delta(id, nullptr, now.voted, now.accepted);
+    latest_nom_.emplace(id, env);
+  } else {
+    apply_nomination_delta(id, &std::get<NominateStmt>(it->second.statement),
+                           now.voted, now.accepted);
+    it->second = env;
+  }
+  finish_statement_update(id);
+}
+
+void ScpNode::store_ballot(ProcessId id, const Envelope& env) {
+  refresh_ballot_views(
+      id, latest_ballot_.insert_or_assign(id, env).first->second.statement);
+  finish_statement_update(id);
+}
+
+void ScpNode::refresh_ballot_views(ProcessId id, const Statement& s) {
+  // scup-lint: order-insensitive(each entry is updated independently from this sender's statement; no cross-entry reads or emissions)
+  for (auto& [key, view] : ballot_support_) {
+    if (pred_holds(key, s)) {
       view.add(id);
     } else {
       view.remove(id);
     }
   }
+}
+
+void ScpNode::finish_statement_update(ProcessId id) {
+  if (nom_support_.size() + ballot_support_.size() > kMaxTrackedPredicates) {
+    // Rebuilt lazily; counted per-view as rebuilds.
+    nom_support_.clear();
+    ballot_support_.clear();
+  }
   engine_->count_support_update();
   // Effective qset: the ballot-stream envelope wins when both exist (they
   // are the same for correct senders anyway).
-  if (bal_it != latest_ballot_.end()) {
-    bind_qset(id, bal_it->second.qset);
-  } else if (nom_it != latest_nom_.end()) {
-    bind_qset(id, nom_it->second.qset);
+  if (const auto bal = latest_ballot_.find(id); bal != latest_ballot_.end()) {
+    bind_qset(id, bal->second.qset);
+  } else if (const auto nom = latest_nom_.find(id); nom != latest_nom_.end()) {
+    bind_qset(id, nom->second.qset);
   }
 }
 
@@ -225,8 +307,7 @@ void ScpNode::bind_qset(ProcessId id, const fbqs::QSet& q) {
 }
 
 bool ScpNode::support_views_consistent() const {
-  // scup-lint: order-insensitive(pure all-of check; result is a conjunction over entries)
-  for (const auto& [key, view] : support_) {
+  const auto fresh_equals = [this](const PredKey& key, const NodeSet& view) {
     NodeSet fresh(peers_.universe_size());
     for (const auto& [id, env] : latest_nom_) {
       if (pred_holds(key, env.statement)) fresh.add(id);
@@ -234,9 +315,32 @@ bool ScpNode::support_views_consistent() const {
     for (const auto& [id, env] : latest_ballot_) {
       if (pred_holds(key, env.statement)) fresh.add(id);
     }
-    if (!(fresh == view)) return false;
+    return fresh == view;
+  };
+  // scup-lint: order-insensitive(pure all-of check; result is a conjunction over entries)
+  for (const auto& [key, view] : nom_support_) {
+    if (!fresh_equals(key, view)) return false;
+  }
+  // scup-lint: order-insensitive(pure all-of check; result is a conjunction over entries)
+  for (const auto& [key, view] : ballot_support_) {
+    if (!fresh_equals(key, view)) return false;
   }
   return true;
+}
+
+bool ScpNode::nomination_index_consistent() const {
+  std::map<Value, std::uint32_t> fresh;
+  for (Value v : nom_voted_) ++fresh[v];
+  for (const auto& [id, env] : latest_nom_) {
+    if (const auto* nom = std::get_if<NominateStmt>(&env.statement)) {
+      for (Value v : nom->voted) ++fresh[v];
+      for (Value v : nom->accepted) ++fresh[v];
+    }
+  }
+  return std::equal(fresh.begin(), fresh.end(), nom_mentions_.begin(),
+                    nom_mentions_.end(), [](const auto& a, const auto& b) {
+                      return a.first == b.first && a.second == b.second;
+                    });
 }
 
 bool ScpNode::is_quorum_satisfying(const PredKey& pred) const {
@@ -250,9 +354,7 @@ bool ScpNode::is_quorum_satisfying(const PredKey& pred) const {
 }
 
 bool ScpNode::is_vblocking(const PredKey& pred) const {
-  NodeSet blockers = support_view(pred);
-  blockers.remove(host_.self());
-  return engine_->blocked_for(own_qset_id_, blockers);
+  return engine_->blocked_for(own_qset_id_, support_view(pred), host_.self());
 }
 
 bool ScpNode::federated_accept(const PredKey& votes_or_accepts,
@@ -295,22 +397,17 @@ void ScpNode::advance() {
 
 bool ScpNode::step_nomination() {
   bool changed = false;
-  // Candidate values: everything anyone has mentioned.
-  std::set<Value> seen = nom_voted_;
-  for (const auto& [id, env] : latest_nom_) {
-    if (const auto* nom = std::get_if<NominateStmt>(&env.statement)) {
-      seen.insert(nom->voted.begin(), nom->voted.end());
-      seen.insert(nom->accepted.begin(), nom->accepted.end());
-    }
-  }
-  for (Value v : seen) {
+  // Candidate values: everything anyone has mentioned, ascending. The walk
+  // only adds votes for values already in the index, so no entry moves.
+  for (std::size_t i = 0; i < nom_mentions_.size(); ++i) {
+    const Value v = nom_mentions_[i].first;
     if (nom_accepted_.count(v) == 0) {
       const bool accepted =
           federated_accept(PredKey{PredClass::kNomVote, 0, v},
                            PredKey{PredClass::kNomAccept, 0, v});
       if (accepted) {
         nom_accepted_.insert(v);
-        nom_voted_.insert(v);
+        vote_nominate(v);
         changed = true;
       }
     }
@@ -368,8 +465,9 @@ bool ScpNode::step_ballot() {
   return changed;
 }
 
-std::vector<Ballot> ScpNode::candidate_ballots() const {
-  std::vector<Ballot> out;
+const std::vector<Ballot>& ScpNode::candidate_ballots() {
+  std::vector<Ballot>& out = ballots_scratch_;
+  out.clear();
   auto push = [&out](const Ballot& b) {
     if (b.valid()) out.push_back(b);
   };
@@ -404,13 +502,17 @@ bool ScpNode::attempt_accept_prepared() {
                          PredKey{PredClass::kPrepareAccept, beta.n, beta.x});
     if (!accepted) continue;
     // Update (p, p') = two highest accepted-prepared, mutually incompatible.
+    // A ballot below both and incompatible with both adds nothing and is no
+    // change: counting it would re-run the fixpoint on it forever (three
+    // incompatible values accepted prepared, e.g. under Byzantine PREPAREs).
     if (!p_.valid() || p_ < beta) {
       if (p_.valid() && !compatible(p_, beta)) p_prime_ = p_;
       p_ = beta;
+      changed = true;
     } else if (!compatible(beta, p_) && (!p_prime_.valid() || p_prime_ < beta)) {
       p_prime_ = beta;
+      changed = true;
     }
-    changed = true;
   }
   if (changed) {
     // Accepting prepared(p) aborts commit votes for incompatible smaller
@@ -458,8 +560,9 @@ bool ScpNode::attempt_confirm_prepared() {
   return true;
 }
 
-std::vector<std::uint32_t> ScpNode::commit_boundaries(Value x) const {
-  std::vector<std::uint32_t> ns;
+const std::vector<std::uint32_t>& ScpNode::commit_boundaries(Value x) {
+  std::vector<std::uint32_t>& ns = boundaries_scratch_;
+  ns.clear();
   auto push = [&ns](std::uint32_t n) {
     if (n > 0) ns.push_back(n);
   };
@@ -542,7 +645,8 @@ bool ScpNode::attempt_confirm_commit() {
   emit_ballot();
   // No federated check runs after externalization (nomination and ballot
   // steps are both gated on !decided_ / phase); drop the support views.
-  support_.clear();
+  nom_support_.clear();
+  ballot_support_.clear();
   if (on_decide) on_decide(x);
   return true;
 }
@@ -585,21 +689,47 @@ Statement ScpNode::ballot_statement() const {
 }
 
 void ScpNode::emit_nomination() {
+  // Our entries are updated in place: the qset cannot change after start()
+  // and the value sets copy-assign onto their existing nodes, so the only
+  // full copy of the envelope is the one into the broadcast message.
   ++seq_;
-  Envelope env(host_.self(), seq_, qset_,
-               Statement{NominateStmt{nom_voted_, nom_accepted_}});
-  latest_nom_.insert_or_assign(host_.self(), env);
-  note_statement_update(host_.self());
-  const auto msg = sim::make_message<Envelope>(std::move(env));
-  for (ProcessId peer : peers_) host_.host_send(peer, msg);
+  const ProcessId self = host_.self();
+  auto it = latest_nom_.find(self);
+  if (it == latest_nom_.end()) {
+    apply_nomination_delta(self, nullptr, nom_voted_, nom_accepted_);
+    it = latest_nom_
+             .try_emplace(self, self, seq_, qset_,
+                          Statement{NominateStmt{nom_voted_, nom_accepted_}})
+             .first;
+  } else {
+    auto& stmt = std::get<NominateStmt>(it->second.statement);
+    apply_nomination_delta(self, &stmt, nom_voted_, nom_accepted_);
+    it->second.seq = seq_;
+    stmt.voted = nom_voted_;
+    stmt.accepted = nom_accepted_;
+  }
+  finish_statement_update(self);
+  broadcast(it->second);
 }
 
 void ScpNode::emit_ballot() {
   ++seq_;
-  Envelope env(host_.self(), seq_, qset_, ballot_statement());
-  latest_ballot_.insert_or_assign(host_.self(), env);
-  note_statement_update(host_.self());
-  const auto msg = sim::make_message<Envelope>(std::move(env));
+  const ProcessId self = host_.self();
+  auto it = latest_ballot_.find(self);
+  if (it == latest_ballot_.end()) {
+    it = latest_ballot_.try_emplace(self, self, seq_, qset_, ballot_statement())
+             .first;
+  } else {
+    it->second.seq = seq_;
+    it->second.statement = ballot_statement();
+  }
+  refresh_ballot_views(self, it->second.statement);
+  finish_statement_update(self);
+  broadcast(it->second);
+}
+
+void ScpNode::broadcast(const Envelope& env) {
+  const auto msg = sim::make_message<Envelope>(env);
   for (ProcessId peer : peers_) host_.host_send(peer, msg);
 }
 

@@ -18,13 +18,25 @@
 //    lets non-sink nodes follow the sink.
 //
 // Evaluation strategy: federated-voting checks run on a fbqs::QuorumEngine
-// (shared across slots when hosted by a LedgerMultiplexer). Instead of
-// re-gathering supporters from the envelope maps on every check, the node
-// maintains materialized support sets per queried predicate — refreshed
-// incrementally as envelopes arrive — and the engine memoizes the
-// Algorithm-1 closure on the support-set fingerprint, so the many
-// predicates of one advance() fixpoint (candidate ballots × vote/accept
-// classes) are answered by a handful of closure runs.
+// (shared across slots when hosted by a LedgerMultiplexer). Derived state is
+// kept incrementally, so an envelope costs work in proportion to what it can
+// change rather than to everything the node has stored:
+//  - a sorted value -> mention-count index over nom_voted_ and every stored
+//    NOMINATE replaces the "everything anyone has mentioned" set that a
+//    nomination step would otherwise rebuild; a replaced statement moves
+//    the counts by its delta only;
+//  - materialized support sets per queried predicate, split by stream: a
+//    NOMINATE update touches only the nomination views of values whose
+//    membership changed, a ballot update only the ballot-class views
+//    (nomination predicates never hold on ballot statements and vice
+//    versa);
+//  - the engine memoizes the Algorithm-1 closure on the support-set
+//    fingerprint, so the many predicates of one advance() fixpoint
+//    (candidate ballots × vote/accept classes) are answered by a handful of
+//    closure runs.
+// The QuorumEngine sees the same queries, with the same arguments and in the
+// same order, as a formulation that rescans every envelope on every step;
+// tests/test_scp_pin.cpp pins the resulting counters and traces.
 #pragma once
 
 #include <functional>
@@ -132,13 +144,19 @@ class ScpNode {
   /// (the from-scratch equivalence the unit suite pins).
   bool support_views_consistent() const;
 
+  /// Debug: rebuilds the set of every value anyone has mentioned (our own
+  /// votes plus each stored NOMINATE's voted and accepted values) and the
+  /// mention count of each, and compares them with the incremental index.
+  bool nomination_index_consistent() const;
+
   /// Test hook (see fbqs::QuorumEngine::debug_rehash): scrambles the
-  /// support index's bucket order. Behaviour must be unchanged — the loops
-  /// over support_ are annotated order-insensitive and the determinism
-  /// regression suite pins it. const because support_ is a mutable cache
+  /// support views' bucket order. Behaviour must be unchanged — the loops
+  /// over the views are annotated order-insensitive and the determinism
+  /// regression suite pins it. const because the views are a mutable cache
   /// and the ledger hands out const slot pointers.
   void debug_rehash(std::size_t bucket_count) const {
-    support_.rehash(bucket_count);
+    nom_support_.rehash(bucket_count);
+    ballot_support_.rehash(bucket_count);
   }
 
  private:
@@ -175,12 +193,30 @@ class ScpNode {
 
   /// The materialized support set for a predicate: which senders' current
   /// statements (either stream) imply it. Built by one scan on first query,
-  /// then kept fresh by note_statement_update().
+  /// then kept fresh by the store_* paths below.
   const NodeSet& support_view(const PredKey& key) const;
 
-  /// Refreshes all support views and the effective qset id after sender
-  /// `id`'s latest statement (in either stream) changed.
-  void note_statement_update(ProcessId id);
+  /// Replace sender `id`'s latest statement in one stream and refresh what
+  /// depends on it: the mention index and the nomination views of the
+  /// values whose membership changed (store_nomination), or every
+  /// ballot-class view (store_ballot); then the effective qset id.
+  void store_nomination(ProcessId id, const Envelope& env);
+  void store_ballot(ProcessId id, const Envelope& env);
+  /// Drops every view once the tracked-predicate cap is passed, counts the
+  /// update and rebinds the sender's effective qset.
+  void finish_statement_update(ProcessId id);
+
+  /// Adds `delta` mentions of `v` to the value index (erasing at zero).
+  void add_mention(Value v, int delta);
+  /// Applies a sender's NOMINATE change from `before` (null: none yet) to
+  /// (voted, accepted) to the value index and the kNomVote/kNomAccept views.
+  void apply_nomination_delta(ProcessId id, const NominateStmt* before,
+                              const std::set<Value>& voted,
+                              const std::set<Value>& accepted);
+  /// Re-evaluates every ballot-class view for sender `id`'s statement `s`.
+  void refresh_ballot_views(ProcessId id, const Statement& s);
+  /// nom_voted_.insert(v), counting a new vote in the value index.
+  bool vote_nominate(Value v);
 
   /// Re-binds the sender's effective qset (ballot stream wins) and clears
   /// the closure cache when the interned id actually changes.
@@ -197,10 +233,14 @@ class ScpNode {
 
   void emit_nomination();  // store + broadcast our nomination envelope
   void emit_ballot();      // store + broadcast our ballot envelope
+  /// Sends `env` (our latest statement of one stream) to every peer.
+  void broadcast(const Envelope& env);
   Statement ballot_statement() const;
   Value composite_candidate() const;
-  std::vector<Ballot> candidate_ballots() const;
-  std::vector<std::uint32_t> commit_boundaries(Value x) const;
+  /// Fill and return the scratch vectors below; the result stays valid
+  /// until the next call.
+  const std::vector<Ballot>& candidate_ballots();
+  const std::vector<std::uint32_t>& commit_boundaries(Value x);
   void arm_ballot_timer();
   void flush_counters();
 
@@ -217,6 +257,11 @@ class ScpNode {
   std::set<Value> nom_voted_;
   std::set<Value> nom_accepted_;
   std::set<Value> candidates_;
+  /// Every value anyone has mentioned, ascending, with its mention count:
+  /// one for membership in nom_voted_, plus one for each voted and each
+  /// accepted entry of each stored NOMINATE. Flat because it holds a slot's
+  /// handful of proposals and is walked on every nomination step.
+  std::vector<std::pair<Value, std::uint32_t>> nom_mentions_;
 
   // Ballot state.
   Phase phase_ = Phase::kNominate;
@@ -246,9 +291,15 @@ class ScpNode {
   std::vector<fbqs::QSetId> sender_qset_id_;
   /// Rebinds consumed per sender, capped at kMaxQsetRebinds (fits a byte).
   std::vector<std::uint8_t> qset_rebinds_;
-  /// Materialized support views; `mutable` because they are a cache over
-  /// the envelope maps, lazily extended by const query paths.
-  mutable std::unordered_map<PredKey, NodeSet, PredKeyHash> support_;
+  /// Materialized support views, nomination classes and ballot classes
+  /// apart so an update of one stream never walks the other's views;
+  /// `mutable` because they are a cache over the envelope maps, lazily
+  /// extended by const query paths.
+  mutable std::unordered_map<PredKey, NodeSet, PredKeyHash> nom_support_;
+  mutable std::unordered_map<PredKey, NodeSet, PredKeyHash> ballot_support_;
+  /// Scratch for candidate_ballots() / commit_boundaries().
+  std::vector<Ballot> ballots_scratch_;
+  std::vector<std::uint32_t> boundaries_scratch_;
   /// Last stats snapshot flushed to SimMetrics (owned-engine nodes only).
   fbqs::QuorumEngineStats flushed_;
 };

@@ -93,6 +93,8 @@ TEST(NodeSetTest, SubsetAndIntersection) {
   EXPECT_FALSE(b.subset_of(a));
   EXPECT_TRUE(b.superset_of(a));
   EXPECT_TRUE(a.subset_of(a));
+  EXPECT_TRUE(b.subset_of(a, 3));   // b \ {3} ⊆ a
+  EXPECT_FALSE(b.subset_of(a, 9));  // excluding a non-member changes nothing
   EXPECT_TRUE(a.intersects(b));
   EXPECT_FALSE(a.intersects(c));
   EXPECT_EQ(a.intersection_count(b), 2u);
@@ -153,8 +155,12 @@ TEST_P(NodeSetPropertyTest, AlgebraIdentities) {
   EXPECT_EQ((a | b).count() + (a & b).count(), a.count() + b.count());
   // Intersection count consistency.
   EXPECT_EQ(a.intersection_count(b), (a & b).count());
-  // Subset characterization.
+  // Subset characterization, also with one member ignored.
   EXPECT_EQ(a.subset_of(b), (a - b).empty());
+  const auto except = static_cast<ProcessId>(rng.uniform(n));
+  NodeSet rest = a;
+  rest.remove(except);
+  EXPECT_EQ(a.subset_of(b, except), rest.subset_of(b));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NodeSetPropertyTest,

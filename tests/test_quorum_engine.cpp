@@ -88,6 +88,29 @@ TEST(QuorumEngineTest, FlattenedMatchesRecursiveOnRandomNestedQSets) {
   }
 }
 
+TEST(QuorumEngineTest, BlockedForWithExclusionMatchesReference) {
+  // blocked_for answers for nodes \ {excluded} through its monotone memo
+  // tiers; every verdict, hit or miss, must equal the recursive reference.
+  constexpr std::size_t kUniverse = 12;
+  Rng rng(20261018);
+  QuorumEngine engine;
+  for (int trial = 0; trial < 50; ++trial) {
+    const QSet q = random_qset(rng, kUniverse, /*depth=*/2);
+    const QSetId id = engine.intern(q);
+    for (int probe = 0; probe < 40; ++probe) {
+      const NodeSet nodes = random_set(rng, kUniverse);
+      const auto excluded = static_cast<ProcessId>(rng.uniform(kUniverse));
+      NodeSet rest = nodes;
+      rest.remove(excluded);
+      EXPECT_EQ(engine.blocked_for(id, nodes, excluded), q.blocked_by(rest))
+          << "trial=" << trial << " qset=" << q.to_string()
+          << " nodes=" << nodes.to_string() << " excluded=" << excluded;
+    }
+  }
+  EXPECT_LT(engine.stats().qset_evals, engine.stats().qset_evals_baseline)
+      << "some checks must have been answered by the memo";
+}
+
 TEST(QuorumEngineTest, EmptyQSetSemantics) {
   QuorumEngine engine;
   const QSetId id = engine.intern(QSet());
@@ -331,36 +354,67 @@ TEST(ScpNodeEngineTest, QsetChangeInvalidatesClosureCache) {
 }
 
 TEST(ScpNodeEngineTest, RandomizedEnvelopeFuzzKeepsViewsConsistent) {
+  // Random envelopes from every peer, checking after each one that the
+  // incremental support views and the nomination value index equal their
+  // from-scratch rebuilds. Each seed delivers a burst before start() (the
+  // buffered path ledger slots take when peers run ahead), has senders
+  // shrink their NOMINATE (a Byzantine sender dropping values it named),
+  // and keeps delivering after the node decides.
   constexpr std::size_t kN = 6;
   const fbqs::QSet qa =
       fbqs::QSet::threshold_of(4, std::vector<ProcessId>{0, 1, 2, 3, 4, 5});
   const fbqs::QSet qb =
       fbqs::QSet::threshold_of(3, std::vector<ProcessId>{0, 1, 2, 3, 4, 5});
 
+  std::size_t steps_after_decision = 0;
+  std::size_t shrinking_nominates = 0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     Rng rng(seed);
     FakeHost host(0, kN);
     ScpNode node(host, kN, qa, 100 + seed);
     for (ProcessId p = 1; p < kN; ++p) node.add_peer(p);
-    node.start();
 
     std::vector<std::uint64_t> seq(kN, 0);
-    for (int step = 0; step < 120; ++step) {
+    std::vector<NominateStmt> last_nom(kN);
+    constexpr int kBeforeStart = 12;
+    for (int step = 0; step < 160; ++step) {
+      if (step == kBeforeStart) {
+        node.start();
+        ASSERT_TRUE(node.support_views_consistent()) << "seed=" << seed;
+        ASSERT_TRUE(node.nomination_index_consistent()) << "seed=" << seed;
+      }
       const auto p = static_cast<ProcessId>(1 + rng.uniform(kN - 1));
       const fbqs::QSet& q = rng.uniform(4) == 0 ? qb : qa;
+      // Before start() only nominations: that is what peers send first.
       Statement stmt;
-      switch (rng.uniform(4)) {
+      switch (step < kBeforeStart ? 0 : rng.uniform(5)) {
         case 0: {
           NominateStmt s;
           const std::size_t k = 1 + rng.uniform(3);
           for (std::size_t i = 0; i < k; ++i) {
-            const Value v = 100 + rng.uniform(4);
+            const Value v = 100 + rng.uniform(12);
             if (rng.uniform(2) == 0) s.voted.insert(v); else s.accepted.insert(v);
           }
+          last_nom[p] = s;
           stmt = s;
           break;
         }
         case 1: {
+          // Drop values from this sender's previous NOMINATE.
+          NominateStmt s = last_nom[p];
+          for (auto* values : {&s.voted, &s.accepted}) {
+            for (auto it = values->begin(); it != values->end();) {
+              it = rng.uniform(2) == 0 ? values->erase(it) : std::next(it);
+            }
+          }
+          shrinking_nominates +=
+              s.voted.size() + s.accepted.size() <
+              last_nom[p].voted.size() + last_nom[p].accepted.size();
+          last_nom[p] = s;
+          stmt = s;
+          break;
+        }
+        case 2: {
           PrepareStmt s;
           s.b = Ballot{1 + static_cast<std::uint32_t>(rng.uniform(3)),
                        100 + rng.uniform(4)};
@@ -372,7 +426,7 @@ TEST(ScpNodeEngineTest, RandomizedEnvelopeFuzzKeepsViewsConsistent) {
           stmt = s;
           break;
         }
-        case 2: {
+        case 3: {
           ConfirmStmt s;
           s.b = Ballot{1 + static_cast<std::uint32_t>(rng.uniform(3)),
                        100 + rng.uniform(4)};
@@ -390,12 +444,55 @@ TEST(ScpNodeEngineTest, RandomizedEnvelopeFuzzKeepsViewsConsistent) {
           break;
         }
       }
+      const bool decided_before = node.decided();
       node.handle(p, Envelope(p, ++seq[p], q, std::move(stmt)));
+      steps_after_decision += decided_before;
       ASSERT_TRUE(node.support_views_consistent())
+          << "seed=" << seed << " step=" << step;
+      ASSERT_TRUE(node.nomination_index_consistent())
           << "seed=" << seed << " step=" << step;
     }
     expect_prepare_invariant(host);
   }
+  EXPECT_GT(steps_after_decision, 0u);
+  EXPECT_GT(shrinking_nominates, 0u);
+}
+
+TEST(ScpNodeEngineTest, ThirdIncompatiblePreparedBallotDoesNotLivelock) {
+  // Three mutually incompatible ballots, each accepted prepared by a
+  // v-blocking pair of peers: the node keeps the two highest as (p, p').
+  // The lowest one changes nothing, and handle() must return instead of
+  // re-running the fixpoint on it forever.
+  constexpr std::size_t kN = 4;
+  FakeHost host(0, kN);
+  ScpNode node(host, kN, majority4(), /*own_value=*/42);
+  for (ProcessId p = 1; p < kN; ++p) node.add_peer(p);
+  node.start();
+  NominateStmt nom;
+  nom.voted.insert(42);
+  nom.accepted.insert(42);
+  for (ProcessId p = 1; p < kN; ++p) {
+    node.handle(p, Envelope(p, 1, majority4(), Statement{nom}));
+  }
+  ASSERT_EQ(node.phase(), ScpNode::Phase::kPrepare);
+
+  const Ballot a{3, 50};
+  const Ballot b{2, 60};
+  const Ballot c{1, 70};
+  const std::pair<Ballot, Ballot> accepted[] = {{a, b}, {a, c}, {b, c}};
+  for (ProcessId p = 1; p < kN; ++p) {
+    PrepareStmt prep;
+    prep.b = accepted[p - 1].first;
+    prep.p = accepted[p - 1].first;
+    prep.p_prime = accepted[p - 1].second;
+    node.handle(p, Envelope(p, 2, majority4(), Statement{prep}));
+  }
+  const auto& own = node.ballot_envelopes().at(0);
+  const auto* stmt = std::get_if<PrepareStmt>(&own.statement);
+  ASSERT_NE(stmt, nullptr);
+  EXPECT_EQ(stmt->p, a);
+  EXPECT_EQ(stmt->p_prime, b);
+  EXPECT_TRUE(node.support_views_consistent());
 }
 
 }  // namespace
