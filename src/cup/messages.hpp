@@ -8,7 +8,8 @@
 // discovery families.
 #pragma once
 
-#include <map>
+#include <utility>
+#include <vector>
 
 #include "common/node_set.hpp"
 #include "sim/message.hpp"
@@ -58,50 +59,51 @@ struct DiscoverMsg final : sim::Message {
 };
 
 /// Reply to DISCOVER (and general gossip): all certificates the sender
-/// holds, merged per owner.
+/// holds, merged per owner, as one flat list in strictly ascending owner
+/// order — the sender's certificate table row by row. Receivers walk it
+/// contiguously, and the frame lists owners in the canonical order the
+/// decoder requires.
 struct CertGossipMsg final : sim::Message {
-  explicit CertGossipMsg(std::map<ProcessId, NodeSet> c) : certs(std::move(c)) {
+  explicit CertGossipMsg(std::vector<PdCertificate> c) : certs(std::move(c)) {
     // Messages are immutable once constructed, so the wire size is fixed
-    // here. Computing it lazily in byte_size() would walk the whole map
+    // here. Computing it lazily in byte_size() would walk the whole list
     // once per destination — the metrics accounting in enqueue_send calls
     // it on every send, and gossip replies are shared across many sends.
     byte_size_ = 16;
-    for (const auto& [owner, pd] : certs) {
-      (void)owner;
-      byte_size_ += 8 + pd.count() * 4;
+    for (const PdCertificate& cert : certs) {
+      byte_size_ += 8 + cert.pd.count() * 4;
     }
   }
-  std::map<ProcessId, NodeSet> certs;
+  std::vector<PdCertificate> certs;  // sorted by owner, owners distinct
   std::string type_name() const override { return "cup.certs"; }
   std::size_t byte_size() const override { return byte_size_; }
   std::uint16_t wire_type() const override { return kWireTypeCertGossip; }
   void wire_encode(sim::WireWriter& w) const override {
     w.u32(static_cast<std::uint32_t>(certs.size()));
-    for (const auto& [owner, pd] : certs) {
-      w.u32(owner);
-      w.node_set(pd);
+    for (const PdCertificate& cert : certs) {
+      w.u32(cert.owner);
+      w.node_set(cert.pd);
     }
   }
   static sim::MessagePtr wire_decode(sim::WireReader& r) {
     const std::uint32_t count = r.u32();
     // Smallest possible entry is 12 bytes (owner + empty NodeSet), so a
-    // forged count cannot force an oversized map reservation.
+    // forged count cannot force an oversized reservation.
     if (!r.fits(count, 12)) {
       r.fail();
       return nullptr;
     }
-    std::map<ProcessId, NodeSet> certs;
-    ProcessId prev = kInvalidProcess;
+    std::vector<PdCertificate> certs;
+    certs.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
       const ProcessId owner = r.u32();
-      if (i > 0 && owner <= prev) {
-        // Canonical frames list owners in ascending order (std::map
-        // iteration); anything else is a forgery or corruption.
+      if (i > 0 && owner <= certs.back().owner) {
+        // Canonical frames list owners in strictly ascending order;
+        // anything else is a forgery or corruption.
         r.fail();
         return nullptr;
       }
-      certs.emplace(owner, r.node_set());
-      prev = owner;
+      certs.push_back({owner, r.node_set()});
       if (!r.ok()) return nullptr;
     }
     return sim::make_message<CertGossipMsg>(std::move(certs));

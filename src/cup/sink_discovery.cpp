@@ -1,6 +1,7 @@
 #include "cup/sink_discovery.hpp"
 
 #include <map>
+#include <utility>
 
 #include "graph/dominators.hpp"
 
@@ -12,18 +13,20 @@ SinkDiscovery::SinkDiscovery(sim::ProtocolHost& host, NodeSet pd,
       pd_(std::move(pd)),
       f_(host.fault_threshold()),
       config_(config),
+      rows_(pd_.universe_size()),
+      owners_(pd_.universe_size()),
       cert_graph_(pd_.universe_size()),
       new_edge_heads_(pd_.universe_size()),
+      reachable_(pd_.universe_size()),
+      newly_reachable_(pd_.universe_size()),
       admitted_(pd_.universe_size()),
       candidate_(pd_.universe_size()),
-      queried_(pd_.universe_size()),
       responded_(pd_.universe_size()),
       last_published_(pd_.universe_size()),
-      neg_cuts_(pd_.universe_size()),
-      prev_reachable_(pd_.universe_size()) {}
+      neg_cuts_(pd_.universe_size()) {}
 
 void SinkDiscovery::start() {
-  merge_certificate(own_cert());
+  merge_certificate(host_.self(), pd_);
   update();
   if (config_.requery_interval > 0) {
     host_.host_set_timer(kDiscoveryRequeryTimerId, config_.requery_interval);
@@ -37,7 +40,7 @@ bool SinkDiscovery::on_timer(int timer_id) {
   // (or its reply) may have been lost pre-GST. Receivers are idempotent:
   // a duplicate DISCOVER merges an already-known certificate and re-sends
   // the (shared, cached) gossip reply.
-  for (ProcessId j : queried_) {
+  for (ProcessId j : reachable_) {  // the queried nodes, plus self
     if (j == host_.self() || responded_.contains(j)) continue;
     host_.host_send(j, shared_payload(cached_discover_, [this] {
       return sim::make_message<DiscoverMsg>(own_cert());
@@ -60,7 +63,7 @@ bool SinkDiscovery::on_timer(int timer_id) {
 
 bool SinkDiscovery::handle(ProcessId from, const sim::Message& msg) {
   if (const auto* discover = dynamic_cast<const DiscoverMsg*>(&msg)) {
-    merge_certificate(discover->cert);
+    merge_certificate(discover->cert.owner, discover->cert.pd);
     responded_.add(from);
     // Reply with everything we hold (knowledge flows backward along the
     // query; certificates are forwardable because they are signed).
@@ -91,41 +94,62 @@ sim::MessagePtr SinkDiscovery::gossip_reply() {
   // The reply is immutable and identical for every requester until the next
   // certificate change (merge_certificate resets the cache), so one shared
   // message serves all of them — one construction *and one byte_size walk*
-  // per certificate state; the per-DISCOVER map copy used to dominate
+  // per certificate state; the per-DISCOVER copy used to dominate
   // large-n discovery cost.
   return shared_payload(cached_gossip_, [this] {
-    return sim::make_message<CertGossipMsg>(certs_);
+    std::vector<PdCertificate> certs;
+    certs.reserve(owners_.count());
+    for (ProcessId owner : owners_) certs.push_back({owner, rows_[owner]});
+    return sim::make_message<CertGossipMsg>(std::move(certs));
   });
 }
 
-void SinkDiscovery::merge_certificate(const PdCertificate& cert) {
-  if (cert.owner == kInvalidProcess || cert.owner >= host_.universe() ||
-      cert.pd.universe_size() != host_.universe()) {
+void SinkDiscovery::merge_certificate(ProcessId owner, const NodeSet& pd) {
+  if (owner == kInvalidProcess || owner >= host_.universe() ||
+      pd.universe_size() != host_.universe()) {
     return;  // malformed; ignore
   }
-  auto [it, inserted] = certs_.emplace(cert.owner, cert.pd);
-  if (!inserted) {
+  NodeSet& row = rows_[owner];
+  if (!owners_.contains(owner)) {
+    row = pd;
+    owners_.add(owner);
+  } else {
     // Union-merge: a Byzantine owner issuing conflicting certificates
     // converges to the union at every correct receiver (deterministic).
-    const NodeSet merged = it->second | cert.pd;
-    if (merged == it->second) return;  // nothing new
-    it->second = merged;
+    // Most deliveries repeat a known certificate: one subset test, no copy.
+    if (pd.subset_of(row)) return;  // nothing new
+    row |= pd;
   }
   cached_gossip_.reset();
-  for (ProcessId target : it->second) {
-    if (!cert_graph_.has_edge(cert.owner, target)) {
-      cert_graph_.add_edge(cert.owner, target);
+  for (ProcessId target : row) {
+    if (!cert_graph_.has_edge(owner, target)) {
+      cert_graph_.add_edge(owner, target);
       new_edge_heads_.add(target);
-      new_edges_.emplace_back(cert.owner, target);
+      new_edges_.emplace_back(owner, target);
     }
   }
 }
 
 void SinkDiscovery::merge_certificates(
-    const std::map<ProcessId, NodeSet>& certs) {
-  for (const auto& [owner, pd] : certs) {
-    merge_certificate({owner, pd});
+    const std::vector<PdCertificate>& certs) {
+  for (const PdCertificate& cert : certs) {
+    merge_certificate(cert.owner, cert.pd);
   }
+}
+
+bool SinkDiscovery::state_consistent() const {
+  for (ProcessId owner = 0; owner < rows_.size(); ++owner) {
+    if (!owners_.contains(owner)) {
+      if (cert_graph_.out_degree(owner) != 0) return false;
+      continue;
+    }
+    NodeSet row = rows_[owner];
+    row.remove(owner);
+    if (row != cert_graph_.successor_set(owner)) return false;
+  }
+  const NodeSet fresh = cert_graph_.reachable_from(host_.self());
+  if (!reachable_.subset_of(fresh)) return false;
+  return !new_edges_.empty() || reachable_ == fresh;
 }
 
 void SinkDiscovery::update() {
@@ -145,15 +169,15 @@ void SinkDiscovery::recheck_admissions() {
 
   // Plain reachability bounds both the query set and the f-reachability
   // candidates (f-reachable implies reachable).
-  const NodeSet reachable = cert_graph_.reachable_from(self);
+  extend_reachable();
 
   // Query everything reachable — their certificates may be needed to
-  // certify disjoint paths — even nodes not (yet) admitted. One immutable
-  // query message serves every target, across every update *and* every
-  // retransmission (own_cert() is frozen at construction).
-  for (ProcessId j : reachable) {
-    if (j == self || queried_.contains(j)) continue;
-    queried_.add(j);
+  // certify disjoint paths — even nodes not (yet) admitted. Every earlier
+  // reachable node was queried at the recheck that reached it, so only the
+  // newly reachable ones are left. One immutable query message serves every
+  // target, across every update *and* every retransmission (own_cert() is
+  // frozen at construction).
+  for (ProcessId j : newly_reachable_) {
     host_.host_send(j, shared_payload(cached_discover_, [this] {
       return sim::make_message<DiscoverMsg>(own_cert());
     }));
@@ -168,19 +192,17 @@ void SinkDiscovery::recheck_admissions() {
   // suffix, so j is reachable from v; the same argument covers nodes that
   // became reachable or gained active interior nodes since the last check.)
   const NodeSet affected =
-      cert_graph_.reachable_from_any(new_edge_heads_, reachable);
+      cert_graph_.reachable_from_any(new_edge_heads_, reachable_);
   new_edge_heads_.clear();
 
   // Nodes that became reachable bring their previously-inactive in-edges
   // into the network; treat those as part of this batch for the
   // cut-crossing test below.
-  for (ProcessId w : reachable) {
-    if (prev_reachable_.contains(w)) continue;
+  for (ProcessId w : newly_reachable_) {
     for (ProcessId p : cert_graph_.predecessors(w)) {
       new_edges_.emplace_back(p, w);
     }
   }
-  prev_reachable_ = reachable;
 
   // A cached failure certificate stays conclusive unless some new edge
   // jumps from its source side past its separator (then a path avoiding
@@ -208,7 +230,7 @@ void SinkDiscovery::recheck_admissions() {
   // distinct certified out-edges.
   std::size_t self_out_degree = 0;
   for (ProcessId x : cert_graph_.successors(self)) {
-    if (reachable.contains(x)) ++self_out_degree;
+    if (reachable_.contains(x)) ++self_out_degree;
   }
   const bool source_can_admit = self_out_degree >= f_ + 1;
 
@@ -216,7 +238,7 @@ void SinkDiscovery::recheck_admissions() {
   bool domtree_ready = false;
   std::vector<ProcessId> idom;
   std::map<ProcessId, NodeSet> dom_subtrees;  // separator -> dominated set
-  for (ProcessId j : reachable) {
+  for (ProcessId j : reachable_) {
     if (admitted_.contains(j) || j == self || pd_.contains(j)) continue;
     // The pre-incremental algorithm re-ran the max-flow check here
     // unconditionally; count what it would have cost (E11's baseline).
@@ -230,7 +252,7 @@ void SinkDiscovery::recheck_admissions() {
     std::size_t in_degree = 0;
     if (source_can_admit) {
       for (ProcessId p : cert_graph_.predecessors(j)) {
-        if (reachable.contains(p) && ++in_degree > f_) break;
+        if (reachable_.contains(p) && ++in_degree > f_) break;
       }
     }
     if (in_degree < f_ + 1) {
@@ -255,7 +277,7 @@ void SinkDiscovery::recheck_admissions() {
       // certificates create one, since honest self edges are exactly
       // pd_) falls through to the exact max-flow path.
       if (!domtree_ready) {
-        idom = graph::immediate_dominators(cert_graph_, self, reachable);
+        idom = graph::immediate_dominators(cert_graph_, self, reachable_);
         ++stats_.domtree_passes;
         domtree_ready = true;
       }
@@ -274,12 +296,12 @@ void SinkDiscovery::recheck_admissions() {
                    .first;
         }
         neg_cuts_[j] = graph::DisjointPathEngine::VertexCut{
-            reachable - it->second, NodeSet(pd_.universe_size(), {c})};
+            reachable_ - it->second, NodeSet(pd_.universe_size(), {c})};
       }
       continue;
     }
     if (!engine_ready) {
-      path_engine_.prepare(cert_graph_, reachable);
+      path_engine_.prepare(cert_graph_, reachable_);
       engine_ready = true;
     }
     ++stats_.flow_evals;
@@ -291,8 +313,33 @@ void SinkDiscovery::recheck_admissions() {
     }
   }
   new_edges_.clear();
-  candidate_ = admitted_ | pd_;
+  candidate_ = admitted_;
+  candidate_ |= pd_;
   candidate_.add(self);
+}
+
+void SinkDiscovery::extend_reachable() {
+  // The graph only gains edges, so a path from self to a node that was not
+  // reachable at the last recheck leaves the old reachable set over an
+  // edge of this batch: seed a DFS with the heads of the batch's edges
+  // whose tail is reachable. (Self is added here, not at construction:
+  // hosts learn their id only when the simulation places them.)
+  reachable_.add(host_.self());
+  newly_reachable_.clear();
+  const auto visit = [this](ProcessId v) {
+    if (reachable_.contains(v)) return;
+    reachable_.add(v);
+    newly_reachable_.add(v);
+    dfs_stack_.push_back(v);
+  };
+  for (const auto& [tail, head] : new_edges_) {
+    if (reachable_.contains(tail)) visit(head);
+  }
+  while (!dfs_stack_.empty()) {
+    const ProcessId u = dfs_stack_.back();
+    dfs_stack_.pop_back();
+    for (ProcessId v : cert_graph_.successors(u)) visit(v);
+  }
 }
 
 void SinkDiscovery::maybe_publish_known() {

@@ -38,6 +38,17 @@
 // per update (graph::DisjointPathEngine). DiscoveryStats counts both the
 // evaluations actually run and what a recompute-everything baseline would
 // have run; bench_scale_discovery (E11) reports the ratio.
+//
+// Flat state on the redundant path (most certificates a process receives
+// are ones it already holds — every gossip reply carries the sender's whole
+// table): certificates live in an owner-indexed table (one NodeSet row per
+// owner) and merge in place, so a certificate that adds nothing costs one
+// subset test and no allocation; the gossip reply is one pass over the
+// table into the sorted CertGossipMsg list. Plain reachability from self is
+// kept as a set and grown by a DFS from the heads of the batch's new edges
+// whose tail is already reachable (the graph only gains edges), which also
+// yields the newly reachable nodes to query. state_consistent() checks both
+// against the certified graph.
 #pragma once
 
 #include <cstdint>
@@ -134,20 +145,32 @@ class SinkDiscovery {
   bool probably_non_sink() const { return probably_non_sink_; }
 
   const NodeSet& candidate_set() const { return candidate_; }
-  const std::map<ProcessId, NodeSet>& certificates() const { return certs_; }
   const graph::Digraph& certified_graph() const { return cert_graph_; }
   const DiscoveryStats& stats() const { return stats_; }
+
+  /// Debug hook: recomputes what the incremental state caches and compares.
+  /// True iff every certificate-table row minus its owner equals the
+  /// owner's certified out-edges, no edge lacks a row, and the reachable
+  /// set is contained in a fresh BFS from self and, once start() ran and
+  /// no batch is pending (a finished instance stops rechecking), equal to
+  /// it.
+  bool state_consistent() const;
 
   /// Invoked exactly once when step 3 succeeds.
   std::function<void()> on_complete;
 
  private:
-  void merge_certificate(const PdCertificate& cert);
-  void merge_certificates(const std::map<ProcessId, NodeSet>& certs);
+  /// Union-merges `pd` into owner's table row (DESIGN.md §4.1) and adds
+  /// the new certified edges to the pending batch.
+  void merge_certificate(ProcessId owner, const NodeSet& pd);
+  void merge_certificates(const std::vector<PdCertificate>& certs);
   /// Queries newly reachable nodes, re-evaluates admission for nodes the
   /// new-edge batch can affect, and re-evaluates steps 2-3.
   void update();
   void recheck_admissions();
+  /// Grows reachable_ by the nodes the pending batch makes reachable from
+  /// self and leaves exactly those in newly_reachable_.
+  void extend_reachable();
   void maybe_publish_known();
   void check_match();
   sim::MessagePtr gossip_reply();
@@ -175,8 +198,12 @@ class SinkDiscovery {
   std::size_t f_;
   DiscoveryConfig config_;
 
-  std::map<ProcessId, NodeSet> certs_;  // owner -> claimed PD (union-merged)
-  graph::Digraph cert_graph_;           // the certified knowledge graph
+  /// Certificate table: rows_[owner] is owner's claimed PD, union-merged;
+  /// owners_ marks the rows that hold a certificate (the others are empty
+  /// placeholders with universe 0).
+  std::vector<NodeSet> rows_;
+  NodeSet owners_;
+  graph::Digraph cert_graph_;  // the certified knowledge graph
   /// Heads (targets) of edges added since the last admission recheck; the
   /// nodes they can reach are exactly the nodes whose verdict may change.
   NodeSet new_edge_heads_;
@@ -184,9 +211,15 @@ class SinkDiscovery {
   /// test against cached negative verdicts.
   std::vector<std::pair<ProcessId, ProcessId>> new_edges_;
 
+  /// Nodes reachable from self in cert_graph_ as of the last admission
+  /// recheck (empty before the first). Every member but self has been sent
+  /// a DISCOVER.
+  NodeSet reachable_;
+  NodeSet newly_reachable_;            // scratch of extend_reachable()
+  std::vector<ProcessId> dfs_stack_;   // scratch of extend_reachable()
+
   NodeSet admitted_;  // f-reachability is monotone; cache positives
   NodeSet candidate_;
-  NodeSet queried_;
   NodeSet responded_;
   std::map<ProcessId, NodeSet> latest_known_;  // sender -> last KNOWN set
   NodeSet last_published_;
@@ -201,18 +234,14 @@ class SinkDiscovery {
   /// crossing its frontier, so permanently-unreachable nodes stop costing
   /// max-flow runs after their first failure.
   std::vector<std::optional<graph::DisjointPathEngine::VertexCut>> neg_cuts_;
-  /// Reachability as of the last recheck; nodes that became reachable since
-  /// act like new edges for cut invalidation (their previously-inactive
-  /// in-edges just joined the network).
-  NodeSet prev_reachable_;
   // ---- shared broadcast payloads: every discovery broadcast constructs
   // ---- (and size-accounts) one immutable message per *state change*, not
   // ---- per destination; sends reuse the cache until the state moves.
 
-  /// Gossip replies carry the whole certificate map; the map only changes
-  /// when a certificate merge does (which resets this), so one immutable
-  /// message per certificate state is shared by every reply instead of
-  /// re-copying the map per DISCOVER.
+  /// Gossip replies carry the whole certificate table; the table only
+  /// changes when a certificate merge does (which resets this), so one
+  /// immutable message per certificate state is shared by every reply
+  /// instead of re-copying the table per DISCOVER.
   sim::MessagePtr cached_gossip_;
   /// DISCOVER carries own_cert(), which is frozen at construction (pd_
   /// never changes), so one message serves every query and retransmission

@@ -30,12 +30,16 @@ KosrReport check_kosr(const Digraph& g, std::size_t k, const NodeSet& active) {
   report.sink_k_connected = is_k_strongly_connected(g, k, report.sink);
 
   // Clause (4): k node-disjoint paths from every non-sink node to every sink
-  // node. Paths may pass through any active node.
+  // node. Paths may pass through any active node, so one prepared network
+  // serves every pair.
   report.paths_to_sink = true;
-  for (ProcessId i : active) {
-    if (report.sink.contains(i)) continue;
+  const NodeSet non_sink = active - report.sink;
+  if (non_sink.empty()) return report;
+  DisjointPathEngine engine;
+  engine.prepare(g, active);
+  for (ProcessId i : non_sink) {
     for (ProcessId j : report.sink) {
-      if (!has_k_vertex_disjoint_paths(g, i, j, k, active)) {
+      if (!engine.has_k_paths(i, j, k)) {
         report.paths_to_sink = false;
         return report;
       }

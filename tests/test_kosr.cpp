@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "graph/disjoint_paths.hpp"
 #include "graph/generators.hpp"
 #include "graph/scc.hpp"
 
@@ -162,6 +163,84 @@ TEST(ByzantineSafetyTest, GeneratedFamiliesWithSafeFaultPlacement) {
     EXPECT_EQ(faulty.count(), f);
     EXPECT_TRUE(satisfies_bft_cup_preconditions(g, faulty, f));
   }
+}
+
+/// Clause-by-clause reference for check_kosr with clause (4) asked one
+/// (i, j) pair at a time through a fresh has_k_vertex_disjoint_paths.
+KosrReport per_pair_kosr(const Digraph& g, std::size_t k,
+                         const NodeSet& active) {
+  KosrReport report;
+  report.sink = NodeSet(g.node_count());
+  report.weakly_connected = is_weakly_connected(g, active);
+  const Condensation c = condense(g, active);
+  report.single_sink = c.sink_components.size() == 1;
+  if (!report.single_sink) return report;
+  report.sink = c.scc.components[c.sink_components[0]];
+  report.sink_k_connected = is_k_strongly_connected(g, k, report.sink);
+  report.paths_to_sink = true;
+  for (ProcessId i : active) {
+    if (report.sink.contains(i)) continue;
+    for (ProcessId j : report.sink) {
+      if (!has_k_vertex_disjoint_paths(g, i, j, k, active)) {
+        report.paths_to_sink = false;
+        return report;
+      }
+    }
+  }
+  return report;
+}
+
+TEST(KosrTest, SharedFlowNetworkMatchesPerPairReference) {
+  // Generated k-OSR graphs, some with a few non-sink → sink edges dropped
+  // so that clause (4) fails, checked over the full set, over the
+  // complement of a safe faulty set and over the complement of an
+  // arbitrary one, for k around the generated connectivity.
+  Rng rng(4242);
+  std::size_t clause4_failures = 0;
+  std::size_t clause4_passes = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    const std::size_t f = 1 + seed % 2;
+    KosrGenParams params;
+    params.sink_size = 3 * f + 2;
+    params.non_sink_size = 6;
+    params.k = 2 * f + 1;
+    params.seed = seed;
+    const Digraph base = random_kosr_graph(params);
+    const std::size_t n = base.node_count();
+    const NodeSet sink = unique_sink_component(base);
+    Digraph g(n);
+    for (ProcessId u = 0; u < n; ++u) {
+      for (ProcessId v : base.successors(u)) {
+        const bool droppable = seed % 3 == 0 && !sink.contains(u) &&
+                               sink.contains(v);
+        if (droppable && rng.uniform_range(0, 3) == 0) continue;
+        g.add_edge(u, v);
+      }
+    }
+    NodeSet arbitrary(n);
+    for (ProcessId v = 0; v < n; ++v) {
+      if (rng.uniform_range(0, 4) == 0) arbitrary.add(v);
+    }
+    const std::vector<NodeSet> actives = {
+        NodeSet::full(n),
+        pick_safe_faulty_set(base, sink, f, /*allow_in_sink=*/true, rng)
+            .complement(),
+        arbitrary.complement()};
+    for (const NodeSet& active : actives) {
+      for (std::size_t k = 1; k <= params.k + 1; ++k) {
+        const KosrReport got = check_kosr(g, k, active);
+        const KosrReport want = per_pair_kosr(g, k, active);
+        ASSERT_EQ(got.to_string(), want.to_string())
+            << "seed=" << seed << " k=" << k << " active=" << active;
+        if (got.single_sink && got.sink_k_connected) {
+          ++(got.paths_to_sink ? clause4_passes : clause4_failures);
+        }
+      }
+    }
+  }
+  // Both outcomes of clause (4) were actually exercised.
+  EXPECT_GT(clause4_failures, 0u);
+  EXPECT_GT(clause4_passes, 0u);
 }
 
 }  // namespace

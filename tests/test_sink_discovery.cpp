@@ -1,11 +1,12 @@
 // Unit tests for the SINK algorithm (cup::SinkDiscovery) driven through a
 // fake ProtocolHost, without a simulation: the step-3 matching rules, the
 // incremental admission machinery (memoized verdicts + dirty-set recheck)
-// against a recompute-from-scratch reference, and the shared gossip-reply
-// cache. The simulation-level behaviour is covered by test_sink_detector
+// against a recompute-from-scratch reference, the union merge of
+// conflicting certificates and the shared gossip-reply cache. The simulation-level behaviour is covered by test_sink_detector
 // and test_sink_convergence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -43,6 +44,25 @@ class FakeHost : public sim::ProtocolHost {
   std::size_t n_;
   std::size_t f_;
 };
+
+/// The certificate `msg` carries for `owner`, or nullptr.
+const NodeSet* cert_of(const CertGossipMsg& msg, ProcessId owner) {
+  for (const PdCertificate& cert : msg.certs) {
+    if (cert.owner == owner) return &cert.pd;
+  }
+  return nullptr;
+}
+
+/// Every gossip reply `host` has sent, oldest first.
+std::vector<const CertGossipMsg*> gossip_replies(const FakeHost& host) {
+  std::vector<const CertGossipMsg*> replies;
+  for (const auto& [to, msg] : host.sent) {
+    if (const auto* g = dynamic_cast<const CertGossipMsg*>(msg.get())) {
+      replies.push_back(g);
+    }
+  }
+  return replies;
+}
 
 /// Builds a discovery at process 0 over a triangle {0,1,2} (f = 1) and
 /// brings it to the published-KNOWN state.
@@ -103,30 +123,77 @@ TEST(SinkDiscoveryGossip, ReplyIsSharedUntilCertificatesChange) {
   SinkDiscovery discovery(host, NodeSet(n, {1, 2}));
   discovery.start();
 
-  const auto gossip_replies = [&] {
-    std::vector<const CertGossipMsg*> replies;
-    for (const auto& [to, msg] : host.sent) {
-      if (const auto* g = dynamic_cast<const CertGossipMsg*>(msg.get())) {
-        replies.push_back(g);
-      }
-    }
-    return replies;
-  };
-
   // Two DISCOVERs carrying already-known certificates: the replies must be
-  // the same shared immutable object, not two map copies.
+  // the same shared immutable object, not two table copies.
   discovery.handle(1, DiscoverMsg({0, NodeSet(n, {1, 2})}));
   discovery.handle(2, DiscoverMsg({0, NodeSet(n, {1, 2})}));
-  auto replies = gossip_replies();
+  auto replies = gossip_replies(host);
   ASSERT_EQ(replies.size(), 2u);
   EXPECT_EQ(replies[0], replies[1]);
 
   // A certificate that adds knowledge invalidates the cached reply.
   discovery.handle(3, DiscoverMsg({3, NodeSet(n, {0})}));
-  replies = gossip_replies();
+  replies = gossip_replies(host);
   ASSERT_EQ(replies.size(), 3u);
   EXPECT_NE(replies[1], replies[2]);
-  EXPECT_EQ(replies[2]->certs.count(3), 1u);
+  EXPECT_NE(cert_of(*replies[2], 3), nullptr);
+}
+
+TEST(SinkDiscoveryGossip, ConflictingCertificatesMergeByUnion) {
+  // A Byzantine owner (3) issues conflicting certificates — disjoint,
+  // subset and superset of what is already held — over both DISCOVER and
+  // gossip. Every receiver keeps the union (DESIGN.md §4.1).
+  const std::size_t n = 8;
+  FakeHost host(0, n, 1);
+  SinkDiscovery discovery(host, NodeSet(n, {1, 2, 3}));
+  discovery.start();
+  const auto out_edges = [&] {
+    return discovery.certified_graph().successor_set(3);
+  };
+  const auto latest_reply = [&] {
+    discovery.handle(1, DiscoverMsg({1, NodeSet(n, {0})}));
+    return gossip_replies(host).back();
+  };
+  const auto gossip = [&](ProcessId owner, NodeSet pd) {
+    discovery.handle(2, CertGossipMsg({{owner, std::move(pd)}}));
+  };
+
+  discovery.handle(3, DiscoverMsg({3, NodeSet(n, {4})}));
+  gossip(3, NodeSet(n, {5}));  // disjoint
+  EXPECT_EQ(out_edges(), NodeSet(n, {4, 5}));
+  discovery.handle(3, DiscoverMsg({3, NodeSet(n, {3, 6})}));  // disjoint
+  EXPECT_EQ(out_edges(), NodeSet(n, {4, 5, 6}));
+  gossip(3, NodeSet(n, {4, 5, 6, 7}));  // superset
+  EXPECT_EQ(out_edges(), NodeSet(n, {4, 5, 6, 7}));
+  EXPECT_TRUE(discovery.state_consistent());
+
+  // The next gossip reply carries the union (the owner's self-claim too).
+  const CertGossipMsg* reply = latest_reply();
+  ASSERT_NE(cert_of(*reply, 3), nullptr);
+  EXPECT_EQ(*cert_of(*reply, 3), NodeSet(n, {3, 4, 5, 6, 7}));
+
+  // Re-delivering a subset, by either path, changes nothing: the shared
+  // reply stays the same object.
+  discovery.handle(3, DiscoverMsg({3, NodeSet(n, {4, 6})}));
+  gossip(3, NodeSet(n, {3, 5}));
+  gossip(3, NodeSet(n));
+  EXPECT_EQ(latest_reply(), reply);
+  EXPECT_EQ(out_edges(), NodeSet(n, {4, 5, 6, 7}));
+
+  // Malformed certificates are dropped before the table is indexed: an
+  // owner outside the universe, and a NodeSet over the wrong universe.
+  const std::size_t edges = discovery.certified_graph().edge_count();
+  gossip(static_cast<ProcessId>(n), NodeSet(n, {1}));
+  gossip(kInvalidProcess, NodeSet(n, {1}));
+  discovery.handle(4, DiscoverMsg({static_cast<ProcessId>(n + 5),
+                                   NodeSet(n, {2})}));
+  gossip(5, NodeSet(n + 1, {1, 8}));
+  discovery.handle(5, DiscoverMsg({5, NodeSet(n - 1, {1})}));
+  EXPECT_EQ(discovery.certified_graph().edge_count(), edges);
+  EXPECT_EQ(discovery.certified_graph().out_degree(5), 0u);
+  EXPECT_EQ(latest_reply(), reply);
+  EXPECT_EQ(cert_of(*reply, 5), nullptr);
+  EXPECT_TRUE(discovery.state_consistent());
 }
 
 /// Recompute-from-scratch reference for the candidate set: self, own PD,
@@ -173,23 +240,56 @@ TEST_P(SinkDiscoveryEquivalenceTest, MatchesFromScratchRecomputeOnRandomFeeds) {
       FakeHost host(self, n, f);
       SinkDiscovery discovery(host, g.pd_of(self));
       discovery.start();
+      ASSERT_TRUE(discovery.state_consistent());
 
-      // Feed single-owner certificates in random order, interleaved with
-      // updates, and compare against the reference after every step.
-      std::vector<ProcessId> order;
+      // The certificates to deliver, in random order: each owner's PD,
+      // split for some owners into two conflicting (disjoint) halves that
+      // travel separately, as a Byzantine owner might issue them.
+      std::vector<PdCertificate> pending;
       for (ProcessId v = 0; v < n; ++v) {
-        if (v != self) order.push_back(v);
+        if (v == self) continue;
+        const NodeSet pd = g.pd_of(v);
+        if (rng.uniform_range(0, 3) == 0) {
+          NodeSet half(n);
+          for (ProcessId t : pd) {
+            if (rng.uniform_range(0, 1) == 0) half.add(t);
+          }
+          pending.push_back({v, half});
+          pending.push_back({v, pd - half});
+        } else {
+          pending.push_back({v, pd});
+        }
       }
-      for (std::size_t i = order.size(); i > 1; --i) {
-        std::swap(order[i - 1], order[rng.uniform_range(0, i - 1)]);
+      for (std::size_t i = pending.size(); i > 1; --i) {
+        std::swap(pending[i - 1], pending[rng.uniform_range(0, i - 1)]);
       }
-      for (ProcessId owner : order) {
-        std::map<ProcessId, NodeSet> certs;
-        certs.emplace(owner, g.pd_of(owner));
-        discovery.handle(owner, CertGossipMsg(std::move(certs)));
+
+      // Deliver them as gossip batches of one to four owners, interleaved
+      // with updates, and compare against the reference after every step.
+      std::vector<std::vector<PdCertificate>> batches;
+      for (std::size_t i = 0; i < pending.size();) {
+        std::vector<PdCertificate> batch;
+        const std::size_t want = rng.uniform_range(1, 4);
+        for (; i < pending.size() && batch.size() < want; ++i) {
+          const ProcessId owner = pending[i].owner;
+          const bool seen = std::any_of(
+              batch.begin(), batch.end(),
+              [owner](const PdCertificate& c) { return c.owner == owner; });
+          if (seen) break;  // one entry per owner; next batch takes it
+          batch.push_back(pending[i]);
+        }
+        std::sort(batch.begin(), batch.end(),
+                  [](const PdCertificate& a, const PdCertificate& b) {
+                    return a.owner < b.owner;
+                  });
+        const ProcessId from = batch.front().owner;
+        discovery.handle(from, CertGossipMsg(batch));
+        batches.push_back(std::move(batch));
+        ASSERT_TRUE(discovery.state_consistent())
+            << "trial=" << trial << " self=" << self << " batch=" << i;
         ASSERT_EQ(discovery.candidate_set(),
                   reference_candidate(discovery, self, g.pd_of(self), f))
-            << "trial=" << trial << " self=" << self << " owner=" << owner;
+            << "trial=" << trial << " self=" << self << " batch=" << i;
       }
       // The incremental run must not have paid more flow evaluations than
       // the recompute-everything baseline, and redundant deliveries must
@@ -197,17 +297,16 @@ TEST_P(SinkDiscoveryEquivalenceTest, MatchesFromScratchRecomputeOnRandomFeeds) {
       const auto& stats = discovery.stats();
       EXPECT_LE(stats.flow_evals, stats.flow_evals_baseline);
 
-      // Replaying every certificate is pure noise: no new edges, no new
+      // Replaying every batch is pure noise: no new edges, no new
       // evaluations.
       const auto evals_before = stats.flow_evals;
       const auto dirty_before = stats.dirty_updates;
-      for (ProcessId owner : order) {
-        std::map<ProcessId, NodeSet> certs;
-        certs.emplace(owner, g.pd_of(owner));
-        discovery.handle(owner, CertGossipMsg(std::move(certs)));
+      for (const auto& batch : batches) {
+        discovery.handle(batch.front().owner, CertGossipMsg(batch));
       }
       EXPECT_EQ(discovery.stats().flow_evals, evals_before);
       EXPECT_EQ(discovery.stats().dirty_updates, dirty_before);
+      EXPECT_TRUE(discovery.state_consistent());
     }
   }
 }

@@ -65,7 +65,7 @@ std::vector<MessagePtr> sample_messages() {
   out.push_back(sim::make_message<cup::DiscoverMsg>(
       cup::PdCertificate{2, pd}));
   out.push_back(sim::make_message<cup::CertGossipMsg>(
-      std::map<ProcessId, NodeSet>{{0, pd}, {3, NodeSet(12)}, {7, pd}}));
+      std::vector<cup::PdCertificate>{{0, pd}, {3, NodeSet(12)}, {7, pd}}));
   out.push_back(sim::make_message<cup::KnownMsg>(pd));
   out.push_back(sim::make_message<cup::GetSinkMsg>(ProcessId{9}));
   out.push_back(sim::make_message<cup::SinkValueMsg>(NodeSet(12, {1, 2})));
@@ -188,6 +188,31 @@ TEST_F(WireCodecTest, NonCanonicalNodeSetOrderIsRejected) {
   w.u32(5);
   w.u32(3);  // descending: must be rejected
   EXPECT_EQ(sim::decode_frame(frame), nullptr);
+}
+
+TEST_F(WireCodecTest, NonCanonicalCertificateOrderIsRejected) {
+  // CertGossip frame: u16 type ++ u32 count ++ (u32 owner ++ NodeSet)*.
+  // Owners must be strictly ascending — receivers walk the list as the
+  // sender's owner-sorted table, one entry per owner.
+  const auto frame_with_owners = [](ProcessId a, ProcessId b) {
+    std::vector<std::uint8_t> frame;
+    WireWriter w(frame);
+    w.u16(cup::kWireTypeCertGossip);
+    w.u32(2);
+    for (ProcessId owner : {a, b}) {
+      w.u32(owner);
+      w.node_set(NodeSet(8, {owner}));
+    }
+    return frame;
+  };
+  EXPECT_EQ(sim::decode_frame(frame_with_owners(5, 2)), nullptr);
+  EXPECT_EQ(sim::decode_frame(frame_with_owners(3, 3)), nullptr);
+  const MessagePtr ok = sim::decode_frame(frame_with_owners(2, 5));
+  const auto* gossip = dynamic_cast<const cup::CertGossipMsg*>(ok.get());
+  ASSERT_NE(gossip, nullptr);
+  ASSERT_EQ(gossip->certs.size(), 2u);
+  EXPECT_EQ(gossip->certs[0].owner, 2u);
+  EXPECT_EQ(gossip->certs[1].pd, NodeSet(8, {5}));
 }
 
 TEST_F(WireCodecTest, ForgedCountCannotForceAllocation) {
